@@ -161,6 +161,7 @@ class SpanLog {
     std::lock_guard<std::mutex> lock(mu_);
     reqs_.push_back(std::move(r));
   }
+  /// Unsynchronized: call only after every writer has finished.
   std::vector<TracedRequest>& requests() { return reqs_; }
 
  private:
