@@ -5,11 +5,12 @@
 //    ground-truth oracle for tests.
 //  * YannakakisSolve — the GHD message-passing upward pass of Theorem G.3:
 //    O~(N) for acyclic H, with aggregate push-down (Corollary G.2) at every
-//    node; cyclic cores are finished at the root by the worst-case-optimal
-//    MultiwayJoin (relation/multiway.h) via JoinAndEliminate, so the peak
-//    materialization there is the core's output, not a pairwise
-//    intermediate. This mirrors, step for step, what the distributed
-//    protocol computes.
+//    node, run by internal::UpwardPass — the executor StandingQuery
+//    (ivm/standing_query.h) shares. A synthetic core root (Construction
+//    2.8) is finished by JoinAndEliminate, like the distributed protocol's
+//    sink, so a cyclic core runs through the worst-case-optimal
+//    MultiwayJoin (relation/multiway.h) and peaks at its output, not at a
+//    pairwise intermediate; every other node joins pairwise.
 //
 // Every solver threads one ExecContext through the sorted-relation kernel
 // (relation/ops.h): operators reuse the context's scratch buffers and
@@ -17,7 +18,8 @@
 // docs/kernel.md — Eliminate in particular never copies or even reads the
 // eliminated columns), bound variables are eliminated in batches (one
 // group-by per aggregate run instead of one per variable), and callers can
-// read operator statistics off the context afterwards. Passing nullptr uses a thread-local context.
+// read operator statistics off the context afterwards. Passing nullptr uses
+// a thread-local context.
 // Setting ctx->parallelism > 1 (or TOPOFAQ_PARALLELISM, which both the
 // explicit and the thread-local context inherit) makes every pass's large
 // joins and eliminations morsel-parallel with bit-identical results
@@ -53,12 +55,25 @@ Relation<S> UnitRelation() {
 /// Eliminate() orders them descending (the Eq. (4) innermost-first order
 /// restricted to this bag) and groups once per run of equal aggregates.
 template <CommutativeSemiring S>
-Relation<S> EliminateAll(Relation<S> r, std::vector<VarId> vars,
+Relation<S> EliminateAll(const Relation<S>& r, std::vector<VarId> vars,
                          const FaqQuery<S>& q, ExecContext* ctx = nullptr) {
   std::vector<VarOp> ops;
   ops.reserve(vars.size());
   for (VarId v : vars) ops.push_back(q.OpFor(v));
-  return Eliminate(std::move(r), std::move(vars), std::move(ops), ctx);
+  return Eliminate(r, std::move(vars), std::move(ops), ctx);
+}
+
+/// Eliminates every variable of r that is not in `keep`: with keep = F, the
+/// bound ones; with keep = a GHD node's parent bag, those private to the
+/// node's subtree (RIP: they occur nowhere above it).
+template <CommutativeSemiring S>
+Relation<S> EliminateOutside(const Relation<S>& r,
+                             const std::vector<VarId>& keep,
+                             const FaqQuery<S>& q, ExecContext* ctx = nullptr) {
+  std::vector<VarId> drop;
+  for (VarId x : r.schema().vars())
+    if (std::find(keep.begin(), keep.end(), x) == keep.end()) drop.push_back(x);
+  return EliminateAll(r, std::move(drop), q, ctx);
 }
 
 /// Joins a bag of relations and eliminates their bound variables, working
@@ -114,15 +129,99 @@ Relation<S> JoinAndEliminate(std::vector<Relation<S>> parts,
       part = UnitRelation<S>();
       for (Relation<S>& m : members) part = Join(part, m, ctx);
     }
-    std::vector<VarId> bound;
-    for (VarId v : part.schema().vars())
-      if (std::find(q.free_vars.begin(), q.free_vars.end(), v) ==
-          q.free_vars.end())
-        bound.push_back(v);
-    part = EliminateAll(std::move(part), bound, q, ctx);
+    part = EliminateOutside(part, q.free_vars, q, ctx);
     acc = Join(acc, part, ctx);  // disjoint schemas: scalar/cross combination
   }
   return acc;
+}
+
+/// The per-node step: node v's base (its hyperedge's relation; the unit
+/// scalar for a synthetic bag) joined pairwise with its children's messages,
+/// then every variable outside `keep` eliminated (Corollary G.2). `release`
+/// drops each child's message once it has been joined.
+template <CommutativeSemiring S>
+Relation<S> NodeStep(const FaqQuery<S>& q, const Ghd& ghd, int v,
+                     const std::vector<VarId>& keep,
+                     std::vector<Relation<S>>* msgs, bool release,
+                     ExecContext* ctx) {
+  const GhdNode& node = ghd.node(v);
+  const Relation<S> unit =
+      node.edge_id < 0 ? UnitRelation<S>() : Relation<S>();
+  const Relation<S>* acc =
+      node.edge_id < 0 ? &unit
+                       : &q.relations[static_cast<size_t>(node.edge_id)];
+  Relation<S> joined;
+  for (int c : node.children) {
+    joined = Join(*acc, (*msgs)[static_cast<size_t>(c)], ctx);
+    acc = &joined;
+    if (release) (*msgs)[static_cast<size_t>(c)] = Relation<S>();
+  }
+  return EliminateOutside(*acc, keep, q, ctx);
+}
+
+/// The root finisher: a synthetic core root (edge_id < 0) hands its
+/// children's messages to JoinAndEliminate, so a cyclic core runs multiway;
+/// a root carrying a real edge (acyclic H) takes the pairwise per-node step.
+template <CommutativeSemiring S>
+Relation<S> FinishRoot(const FaqQuery<S>& q, const Ghd& ghd,
+                       std::vector<Relation<S>>* msgs, bool release,
+                       ExecContext* ctx) {
+  const GhdNode& root = ghd.node(ghd.root());
+  if (root.edge_id >= 0)
+    return Project(
+        NodeStep(q, ghd, ghd.root(), q.free_vars, msgs, release, ctx),
+        q.free_vars, ctx);
+  std::vector<Relation<S>> parts;
+  parts.reserve(root.children.size());
+  for (int c : root.children) {
+    Relation<S>& m = (*msgs)[static_cast<size_t>(c)];
+    parts.push_back(release ? std::move(m) : m);
+  }
+  return Project(JoinAndEliminate(std::move(parts), q, ctx), q.free_vars,
+                 ctx);
+}
+
+/// IVM's hook into UpwardPass: a caller-owned cache of one message per GHD
+/// node, kept after the pass, and `reuse(v)` — true when node v's cached
+/// message is still valid (null: recompute every node).
+template <CommutativeSemiring S>
+struct MessageCache {
+  std::vector<Relation<S>>* msgs = nullptr;
+  std::function<bool(int)> reuse;
+};
+
+/// The Theorem G.3 upward pass: bottom-up, each non-root node's message is
+/// its per-node step keeping the parent's bag; then the root finisher.
+/// Without a cache a message lives only until its parent has joined it.
+/// Fails when F ⊈ χ(root) (Appendix G.5), and with Status::Cancelled when
+/// the context's token fires: checked at every node boundary (a node is the
+/// pass's natural morsel; parallel operators also check per morsel), so
+/// right before the root finisher, and after it.
+template <CommutativeSemiring S>
+Result<Relation<S>> UpwardPass(const FaqQuery<S>& q, const Ghd& ghd,
+                               ExecContext* ctx,
+                               const MessageCache<S>* cache = nullptr) {
+  const auto& root_chi = ghd.node(ghd.root()).chi;
+  for (VarId v : q.free_vars)
+    if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
+      return Status::FailedPrecondition(
+          "free variable " + std::to_string(v) +
+          " outside V(C(H)): unsupported choice of F (Appendix G.5)");
+  ExecContext& cx = ExecContext::Resolve(ctx);
+  std::vector<Relation<S>> local;
+  std::vector<Relation<S>>* msgs = cache != nullptr ? cache->msgs : &local;
+  msgs->resize(static_cast<size_t>(ghd.num_nodes()));
+  for (int v : ghd.BottomUpOrder()) {
+    if (cx.cancelled()) return Status::Cancelled("query cancelled mid-pass");
+    if (v == ghd.root()) break;  // the root comes last
+    if (cache != nullptr && cache->reuse && cache->reuse(v)) continue;
+    (*msgs)[static_cast<size_t>(v)] =
+        NodeStep(q, ghd, v, ghd.node(ghd.node(v).parent).chi, msgs,
+                 cache == nullptr, ctx);
+  }
+  Relation<S> answer = FinishRoot(q, ghd, msgs, cache == nullptr, ctx);
+  if (cx.cancelled()) return Status::Cancelled("query cancelled mid-pass");
+  return answer;
 }
 
 }  // namespace internal
@@ -143,53 +242,13 @@ Result<Relation<S>> BruteForceSolve(const FaqQuery<S>& q,
 }
 
 /// Theorem G.3 solver over a supplied decomposition; free variables must lie
-/// in the root bag (F ⊆ V(C(H)), the Appendix G.5 restriction).
+/// in the root bag (F ⊆ V(C(H)), the Appendix G.5 restriction). Every join
+/// and batched elimination of the pass shares `ctx`'s scratch buffers.
 template <CommutativeSemiring S>
 Result<Relation<S>> YannakakisSolveOn(const FaqQuery<S>& q, const GyoGhd& gg,
                                       ExecContext* ctx = nullptr) {
   TOPOFAQ_RETURN_IF_ERROR(q.Validate());
-  const Ghd& ghd = gg.ghd;
-  const auto& root_chi = ghd.node(ghd.root()).chi;
-  for (VarId v : q.free_vars)
-    if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
-      return Status::FailedPrecondition(
-          "free variable " + std::to_string(v) +
-          " outside V(C(H)): unsupported choice of F (Appendix G.5)");
-
-  // Upward pass: message[v] = relation over χ(v) ∩ χ(parent(v)). Every join
-  // and batched elimination below shares `ctx`'s scratch buffers.
-  ExecContext& cx = ExecContext::Resolve(ctx);
-  std::vector<Relation<S>> state(ghd.num_nodes());
-  for (int v = 0; v < ghd.num_nodes(); ++v) {
-    const int e = ghd.node(v).edge_id;
-    state[v] = (e >= 0) ? q.relations[e] : internal::UnitRelation<S>();
-  }
-  for (int v : ghd.BottomUpOrder()) {
-    // Node-boundary cancellation check: one GHD node's work is the pass's
-    // natural morsel (parallel operators additionally check per morsel).
-    if (cx.cancelled()) return Status::Cancelled("query cancelled mid-pass");
-    for (int c : ghd.node(v).children) state[v] = Join(state[v], state[c], ctx);
-    if (v == ghd.root()) break;
-    // Push down aggregates over variables private to this subtree
-    // (Corollary G.2): everything in the current schema that is not in the
-    // parent bag. RIP guarantees such variables occur nowhere else.
-    const auto& parent_chi = ghd.node(ghd.node(v).parent).chi;
-    std::vector<VarId> private_vars;
-    for (VarId x : state[v].schema().vars())
-      if (!std::binary_search(parent_chi.begin(), parent_chi.end(), x))
-        private_vars.push_back(x);
-    state[v] = internal::EliminateAll(std::move(state[v]), private_vars, q, ctx);
-  }
-  // Root: eliminate the remaining bound variables, then order columns as F.
-  Relation<S>& root_rel = state[ghd.root()];
-  std::vector<VarId> bound;
-  for (VarId v : root_rel.schema().vars())
-    if (std::find(q.free_vars.begin(), q.free_vars.end(), v) ==
-        q.free_vars.end())
-      bound.push_back(v);
-  root_rel = internal::EliminateAll(std::move(root_rel), bound, q, ctx);
-  if (cx.cancelled()) return Status::Cancelled("query cancelled mid-pass");
-  return Project(root_rel, q.free_vars, ctx);
+  return internal::UpwardPass(q, gg.ghd, ctx);
 }
 
 /// Theorem G.3 solver using the canonical minimized decomposition; when F is

@@ -1,10 +1,11 @@
 // StandingQuery — incremental view maintenance over the Theorem G.3 pass.
 //
-// A standing query materializes the GHD upward pass once (per-node base
-// relations and the post-elimination message each non-root node sends its
-// parent), then keeps the answer current under batched base-relation deltas
-// (ivm/delta.h) at a cost proportional to the delta and the key runs it
-// touches, not the database. Two maintenance modes, chosen per query at
+// A standing query materializes the GHD upward pass once — the executor
+// YannakakisSolve runs (internal::UpwardPass, faq/solvers.h), with the
+// post-elimination message each non-root node sends its parent kept in a
+// message cache — then keeps the answer current under batched base-relation
+// deltas (ivm/delta.h) at a cost proportional to the delta and the key runs
+// it touches, not the database. Two maintenance modes, chosen per query at
 // creation:
 //
 //  * Ring propagation (exact rings — Natural, GF2 — with all-⊕ bound
@@ -22,15 +23,16 @@
 //  * Affected-subtree recompute (everything else — idempotent semirings
 //    like Boolean/MinPlus/MaxProduct, inexact Counting, or min/max bound
 //    aggregates): deletions have no additive inverse (or no exact one), so
-//    the nodes on the touched root path rerun their original pass step with
-//    the *same* deterministic operators, reusing the cached messages of
-//    every clean subtree. Identical ops on byte-identical inputs give
+//    the nodes on the touched root path rerun through the same executor
+//    (per-node step, then the root finisher), reusing the cached messages
+//    of every clean subtree. Identical ops on byte-identical inputs give
 //    byte-identical outputs — bit-identity is unconditional here.
 //
 // Delta application is deliberately NOT cancellable: a cancel observed
 // mid-propagation would leave messages half-updated. Deltas are small by
 // admission (server/subscribe.h); cancellation stays a one-shot-query
-// feature.
+// feature, and contexts passed to ApplyDelta must carry no cancel token
+// (the engine clears it).
 #ifndef TOPOFAQ_IVM_STANDING_QUERY_H_
 #define TOPOFAQ_IVM_STANDING_QUERY_H_
 
@@ -73,12 +75,6 @@ class StandingQuery {
     sq.q_ = std::move(q);
     sq.gg_ = std::move(w->decomposition);
     const Ghd& ghd = sq.gg_.ghd;
-    const auto& root_chi = ghd.node(ghd.root()).chi;
-    for (VarId v : sq.q_.free_vars)
-      if (!std::binary_search(root_chi.begin(), root_chi.end(), v))
-        return Status::FailedPrecondition(
-            "free variable " + std::to_string(v) +
-            " outside V(C(H)): unsupported choice of F (Appendix G.5)");
     sq.node_of_relation_.assign(sq.q_.relations.size(), -1);
     for (int v = 0; v < ghd.num_nodes(); ++v) {
       const int e = ghd.node(v).edge_id;
@@ -101,7 +97,7 @@ class StandingQuery {
           sq.ring_mode_ = false;
       }
     }
-    sq.RebuildAll(ctx);
+    TOPOFAQ_RETURN_IF_ERROR(sq.Recompute(-1, ctx));
     return sq;
   }
 
@@ -149,8 +145,9 @@ class StandingQuery {
     EraseMatching(&base, d.removes);
     AddInto(&base, d.adds, ctx);
     ++stats_.recompute_deltas;
-    RecomputeDirty(node, ctx);
-    return Status::Ok();
+    const Status st = Recompute(node, ctx);
+    TOPOFAQ_CHECK_MSG(st.ok(), "delta application is not cancellable");
+    return st;
   }
 
  private:
@@ -163,50 +160,6 @@ class StandingQuery {
     if (e >= 0) return q_.relations[static_cast<size_t>(e)];
     if (unit_.empty()) unit_ = internal::UnitRelation<S>();
     return unit_;
-  }
-
-  /// Variables of `sc` not in the (sorted) bag `chi`.
-  static std::vector<VarId> VarsOutside(const Schema& sc,
-                                        const std::vector<VarId>& chi) {
-    std::vector<VarId> out;
-    for (VarId x : sc.vars())
-      if (!std::binary_search(chi.begin(), chi.end(), x)) out.push_back(x);
-    return out;
-  }
-
-  std::vector<VarId> BoundVarsOf(const Schema& sc) const {
-    std::vector<VarId> bound;
-    for (VarId v : sc.vars())
-      if (std::find(q_.free_vars.begin(), q_.free_vars.end(), v) ==
-          q_.free_vars.end())
-        bound.push_back(v);
-    return bound;
-  }
-
-  /// One full upward pass — step for step YannakakisSolveOn — that leaves
-  /// every non-root node's post-elimination message materialized in msgs_.
-  void RebuildAll(ExecContext* ctx) {
-    const Ghd& ghd = gg_.ghd;
-    std::vector<Relation<S>> state(static_cast<size_t>(ghd.num_nodes()));
-    for (int v = 0; v < ghd.num_nodes(); ++v) state[v] = BaseOf(v);
-    for (int v : ghd.BottomUpOrder()) {
-      for (int c : ghd.node(v).children)
-        state[v] = Join(state[v], state[c], ctx);
-      if (v == ghd.root()) break;
-      const auto& parent_chi = ghd.node(ghd.node(v).parent).chi;
-      // Private vars are read before the move: function-argument evaluation
-      // order would otherwise race the move-out of state[v].
-      std::vector<VarId> priv = VarsOutside(state[v].schema(), parent_chi);
-      state[v] = internal::EliminateAll(std::move(state[v]), std::move(priv),
-                                        q_, ctx);
-    }
-    Relation<S>& root_rel = state[ghd.root()];
-    std::vector<VarId> bound = BoundVarsOf(root_rel.schema());
-    root_rel = internal::EliminateAll(std::move(root_rel), std::move(bound),
-                                      q_, ctx);
-    answer_ = Project(root_rel, q_.free_vars, ctx);
-    state[ghd.root()] = Relation<S>();  // answer_ supersedes the root state
-    msgs_ = std::move(state);
   }
 
   /// Ring mode: walk the touched node's root path once. At each node the
@@ -227,16 +180,12 @@ class StandingQuery {
         term = Join(term, msgs_[static_cast<size_t>(c)], ctx);
       }
       if (v == ghd.root()) {
-        std::vector<VarId> bound = BoundVarsOf(term.schema());
-        term = internal::EliminateAll(std::move(term), std::move(bound), q_,
-                                      ctx);
-        Relation<S> dans = Project(term, q_.free_vars, ctx);
-        AddInto(&answer_, dans, ctx);
+        term = internal::EliminateOutside(term, q_.free_vars, q_, ctx);
+        AddInto(&answer_, Project(term, q_.free_vars, ctx), ctx);
         return;
       }
-      const auto& parent_chi = ghd.node(ghd.node(v).parent).chi;
-      std::vector<VarId> priv = VarsOutside(term.schema(), parent_chi);
-      term = internal::EliminateAll(std::move(term), std::move(priv), q_, ctx);
+      term = internal::EliminateOutside(
+          term, ghd.node(ghd.node(v).parent).chi, q_, ctx);
       if (term.empty()) return;  // nothing survives to the parent
       ReorderTo(&term, msgs_[static_cast<size_t>(v)].schema(), ctx);
       AddInto(&msgs_[static_cast<size_t>(v)], term, ctx);
@@ -246,35 +195,26 @@ class StandingQuery {
     }
   }
 
-  /// Fallback mode: rerun the original pass step at every node on the
-  /// touched root path, reusing the cached message of every clean child —
+  /// Runs the solver's executor over the message cache: every node when
+  /// `touched` < 0 (creation); otherwise, in fallback mode, only the touched
+  /// node's root path, reusing the cached message of every clean node —
   /// identical deterministic operators on byte-identical inputs.
-  void RecomputeDirty(int touched, ExecContext* ctx) {
+  Status Recompute(int touched, ExecContext* ctx) {
     const Ghd& ghd = gg_.ghd;
     std::vector<char> dirty(static_cast<size_t>(ghd.num_nodes()), 0);
     for (int v = touched; v >= 0; v = ghd.node(v).parent)
       dirty[static_cast<size_t>(v)] = 1;
-    for (int v : ghd.BottomUpOrder()) {
-      if (!dirty[static_cast<size_t>(v)]) {
-        ++stats_.nodes_reused;
-        continue;
-      }
-      ++stats_.nodes_updated;
-      Relation<S> state = BaseOf(v);
-      for (int c : ghd.node(v).children)
-        state = Join(state, msgs_[static_cast<size_t>(c)], ctx);
-      if (v == ghd.root()) {
-        std::vector<VarId> bound = BoundVarsOf(state.schema());
-        state = internal::EliminateAll(std::move(state), std::move(bound), q_,
-                                       ctx);
-        answer_ = Project(state, q_.free_vars, ctx);
-        return;
-      }
-      const auto& parent_chi = ghd.node(ghd.node(v).parent).chi;
-      std::vector<VarId> priv = VarsOutside(state.schema(), parent_chi);
-      msgs_[static_cast<size_t>(v)] =
-          internal::EliminateAll(std::move(state), std::move(priv), q_, ctx);
-    }
+    const internal::MessageCache<S> cache{&msgs_, [&](int v) {
+      if (touched < 0) return false;
+      const bool clean = !dirty[static_cast<size_t>(v)];
+      ++(clean ? stats_.nodes_reused : stats_.nodes_updated);
+      return clean;
+    }};
+    if (touched >= 0) ++stats_.nodes_updated;  // the root always reruns
+    auto answer = internal::UpwardPass(q_, ghd, ctx, &cache);
+    if (!answer.ok()) return answer.status();
+    answer_ = *std::move(answer);
+    return Status::Ok();
   }
 
   FaqQuery<S> q_;  // relations mutate under deltas; shape is fixed

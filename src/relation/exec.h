@@ -73,10 +73,11 @@ struct OpStats {
   /// every key probe made while leapfrogging the active iterators to a
   /// common key.
   int64_t seeks = 0;
-  /// High-water rows materialized by one call beyond its inputs (for the
-  /// multiway join: rebuilt trie views + the output itself — the measured
-  /// form of its peak-materialization-is-the-output guarantee). Combined
-  /// with max, not sum, so rollups stay a high-water mark.
+  /// High-water rows materialized by one call beyond its inputs: for the
+  /// multiway join, rebuilt trie views + the output itself (the measured
+  /// form of its peak-materialization-is-the-output guarantee); for the
+  /// pairwise operators, the call's output (Eliminate: its largest batch
+  /// output). Combined with max, not sum, so rollups stay a high-water mark.
   int64_t peak_rows = 0;
   /// Vector blocks retired by the SIMD kernels (relation/simd.h): frontier
   /// intersection blocks, merge-advance probes, window decodes. 0 when

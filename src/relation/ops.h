@@ -174,6 +174,13 @@ inline int64_t SortComparisonBound(size_t n) {
   return static_cast<int64_t>(n) * lg;
 }
 
+/// Counts `rows` emitted by one operator call: adds them to rows_out and
+/// raises the peak_rows high-water mark.
+inline void RecordOutput(OpStats& st, size_t rows) {
+  st.rows_out += static_cast<int64_t>(rows);
+  st.peak_rows = std::max(st.peak_rows, static_cast<int64_t>(rows));
+}
+
 /// Fills `perm` with the canonical (full-row lexicographic) order of `r`;
 /// the identity, sort skipped, when `r` is already canonical. The sort runs
 /// through ParallelSortPerm (index tiebreak → total order → bit-identical
@@ -892,7 +899,7 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
       st += wc.join;
       wc.join = OpStats{};
     }
-    st.rows_out += static_cast<int64_t>(out.size());
+    RecordOutput(st, out.size());
     return out;
   }
 
@@ -906,7 +913,7 @@ Relation<S> JoinImpl(const Relation<S>& left, const Relation<S>& right,
   JoinEmitRange<A>(left, right, lall, lk, rk, nk, rex, nex, lpm, rpm, lmono,
                    dir, 0, ln, &b, &cx.row, &st);
   Relation<S> out = b.Build();
-  st.rows_out += static_cast<int64_t>(out.size());
+  RecordOutput(st, out.size());
   return out;
 }
 
@@ -980,7 +987,7 @@ Relation<S> SemijoinImpl(const Relation<S>& left, const Relation<S>& right,
       st += wc.semijoin;
       wc.semijoin = OpStats{};
     }
-    st.rows_out += static_cast<int64_t>(out.size());
+    RecordOutput(st, out.size());
     return out;
   }
 
@@ -994,7 +1001,7 @@ Relation<S> SemijoinImpl(const Relation<S>& left, const Relation<S>& right,
   SemijoinEmitRange<A>(left, right, lall, lk, rk, nk, rpm, lmono, dir, 0, ln,
                        &b, &st);
   Relation<S> out = b.Build();
-  st.rows_out += static_cast<int64_t>(out.size());
+  RecordOutput(st, out.size());
   return out;
 }
 
@@ -1051,7 +1058,7 @@ Relation<S> ProjectImpl(const Relation<S>& r, const std::vector<VarId>& keep,
     ProjectEmitRange<A>(r, kc, nkc, perm, 0, n, &b, &cx.row);
     out = b.Build();
   }
-  st.rows_out += static_cast<int64_t>(out.size());
+  RecordOutput(st, out.size());
   return out;
 }
 
@@ -1299,11 +1306,12 @@ Relation<S> Eliminate(const Relation<S>& r, std::vector<VarId> vars,
         in.any_encoded()
             ? internal::EliminateBatch<EncodedAccess>(in, vb, ve, op, cx, st)
             : internal::EliminateBatch<PlainAccess>(in, vb, ve, op, cx, st);
+    st.peak_rows = std::max(st.peak_rows, static_cast<int64_t>(out.size()));
     cur = std::move(out);
     src = &cur;
     bi = be;
   }
-  st.rows_out += static_cast<int64_t>(src->size());
+  internal::RecordOutput(st, src->size());
   if (cx.trace != nullptr)
     sp.SetArgsJson(obs::OpStatsJson(obs::OpStatsDelta(op_before, st)));
   return src == &r ? r : std::move(cur);

@@ -200,6 +200,36 @@ TEST(Engine, SolversReturnCancelledOnPreFiredToken) {
   auto b = YannakakisSolve(q, &ctx);
   ASSERT_FALSE(b.ok());
   EXPECT_EQ(b.status().code(), StatusCode::kCancelled);
+
+  // A token that fires after the last non-root node and before the root
+  // finisher (the multiway join of the triangle's core): the message-cache
+  // hook of the shared executor sets it once that node has been scheduled.
+  auto plan = PlanCache::Shared().PlanFor(q.hypergraph, q.free_vars);
+  ASSERT_TRUE(plan.ok());
+  const Ghd& ghd = plan->decomposition.ghd;
+  ASSERT_LT(ghd.node(ghd.root()).edge_id, 0);  // synthetic core root
+  const std::vector<int> order = ghd.BottomUpOrder();
+  const int last_child = order[order.size() - 2];
+  for (bool fire : {false, true}) {
+    SCOPED_TRACE(fire ? "token fires before the root finisher" : "no token");
+    std::atomic<bool> late{false};
+    ExecContext late_ctx;
+    late_ctx.cancel = &late;
+    std::vector<Relation<CountingSemiring>> msgs;
+    const internal::MessageCache<CountingSemiring> cache{&msgs, [&](int v) {
+      if (fire && v == last_child) late.store(true);
+      return false;
+    }};
+    auto c = internal::UpwardPass(q, ghd, &late_ctx, &cache);
+    if (fire) {
+      ASSERT_FALSE(c.ok());
+      EXPECT_EQ(c.status().code(), StatusCode::kCancelled);
+      EXPECT_EQ(late_ctx.multiway.calls, 0);
+    } else {
+      ASSERT_TRUE(c.ok()) << c.status().ToString();
+      EXPECT_GT(late_ctx.multiway.calls, 0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -156,7 +156,9 @@ TEST_P(ExtractorSweep, BoundHoldsOnRandomSources) {
   const int k1 = n - GetParam() % 2;
   const int k2 = n - 1;
   ExtractorResult r = InnerProductExperiment(n, k1, k2, &rng);
-  if (r.delta > 0) EXPECT_LE(r.distance, r.theorem_bound + 1e-9);
+  if (r.delta > 0) {
+    EXPECT_LE(r.distance, r.theorem_bound + 1e-9);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, ExtractorSweep, ::testing::Range(0, 12));

@@ -3,14 +3,18 @@
 // pairwise-Join oracle across four semirings on triangle / 4-cycle / skewed
 // / empty / single-key-run / permuted-schema inputs, byte-identical output
 // across parallelism ∈ {1, 2, 7, hardware_concurrency}, the AGM peak-
-// intermediate property on the triangle query, and the JoinAndEliminate
+// intermediate property on the triangle query, the JoinAndEliminate
 // routing policy (cyclic / >= 3-relation components go multiway, smaller
-// components stay pairwise).
+// components stay pairwise), and the solver's use of it: YannakakisSolve
+// and the engine finish cyclic cores multiway, byte-identical to the
+// brute-force oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bit_identity.h"
@@ -20,6 +24,7 @@
 #include "random_instances.h"
 #include "relation/multiway.h"
 #include "relation/ops.h"
+#include "server/engine.h"
 #include "util/rng.h"
 
 namespace topofaq {
@@ -222,6 +227,136 @@ TEST(Routing, TwoRelationComponentsStayPairwise) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(ctx.multiway.calls, 0);
   EXPECT_GT(ctx.join.calls, 0);
+}
+
+// Routing through the Theorem G.3 executor: a synthetic core root
+// (Construction 2.8) is finished by JoinAndEliminate, so the default solver
+// path — YannakakisSolve, and the engine's kAuto on top of it — runs cyclic
+// cores multiway, while an acyclic root keeps the pairwise steps.
+
+/// The cyclic cores the e2e analytic workload runs — triangle, 4-cycle and
+/// Loomis–Whitney LW(4). `dom` gives 2000-row relations a pairwise chain
+/// whose intermediates dwarf the core's output; `oracle_dom` keeps 200-row
+/// instances small enough for the brute-force oracle yet non-empty.
+struct CyclicCore {
+  std::string name;
+  Hypergraph h;
+  uint64_t dom;
+  uint64_t oracle_dom;
+};
+std::vector<CyclicCore> CyclicCores() {
+  return {{"triangle", CycleGraph(3), 200, 20},
+          {"4-cycle", CycleGraph(4), 200, 20},
+          {"LW4", Hypergraph(4, {{0, 1, 2}, {1, 2, 3}, {0, 2, 3}, {0, 1, 3}}),
+           20, 8}};
+}
+
+/// Largest intermediate of the pairwise left-fold over `rels`, read off the
+/// pairwise Join's peak_rows. The last join is left out: its output is the
+/// full join, which the multiway route materializes too.
+template <CommutativeSemiring S>
+int64_t PairwiseIntermediatePeak(const std::vector<Relation<S>>& rels) {
+  ExecContext ctx;
+  Relation<S> acc = rels[0];
+  for (size_t i = 1; i + 1 < rels.size(); ++i) acc = Join(acc, rels[i], &ctx);
+  return ctx.join.peak_rows;
+}
+
+/// `core` plus a two-edge tree hanging off core vertex 0 and a disconnected
+/// one-edge tree: both reach the synthetic root as extra child messages
+/// (one over {0}, one a scalar).
+Hypergraph WithForest(const Hypergraph& core) {
+  const VarId n = static_cast<VarId>(core.num_vertices());
+  std::vector<std::vector<VarId>> edges;
+  for (int e = 0; e < core.num_edges(); ++e) edges.push_back(core.edge(e));
+  edges.push_back({0, n});
+  edges.push_back({n, n + 1});
+  edges.push_back({n + 2, n + 3});
+  return Hypergraph(static_cast<int>(n) + 4, std::move(edges));
+}
+
+TEST(Routing, SolverAndEngineFinishCyclicCoresMultiway) {
+  for (const CyclicCore& core : CyclicCores()) {
+    SCOPED_TRACE(core.name);
+    const auto q = RandomQuery<NaturalSemiring>(core.h, 2000, core.dom, 70, {});
+    const int64_t pairwise = PairwiseIntermediatePeak(q.relations);
+
+    ExecContext ctx;
+    auto direct = YannakakisSolve(q, &ctx);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_GT(ctx.multiway.calls, 0);
+    EXPECT_LT(ctx.join.peak_rows, pairwise);
+    EXPECT_LT(ctx.Totals().peak_rows, pairwise);
+
+    Engine engine;
+    engine.EnableTracing();
+    QueryRequest req;
+    req.query = q;
+    auto served = engine.Solve(std::move(req));
+    const auto trace = engine.DisableTracing();
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_TRUE(BytesEqual(served->answer_as<NaturalSemiring>(), *direct));
+    EXPECT_LT(served->kernel.peak_rows, pairwise);
+    int multiway_spans = 0;
+    for (const obs::TraceEvent& ev : trace->events())
+      multiway_spans += std::string(ev.name) == "multiway";
+    EXPECT_GT(multiway_spans, 0);
+  }
+}
+
+TEST(Routing, AcyclicStarStaysPairwise) {
+  const auto q = RandomQuery<NaturalSemiring>(StarGraph(3), 500, 40, 80, {0});
+  ExecContext ctx;
+  auto res = YannakakisSolve(q, &ctx);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(ctx.multiway.calls, 0);
+  EXPECT_GT(ctx.join.calls, 0);
+}
+
+/// Cyclic core + forest with free variables in the core: the executor's
+/// answer is byte-identical to the brute-force oracle at parallelism 1 and
+/// at every core.
+template <CommutativeSemiring S>
+void CheckCoreWithForestAgainstOracle(uint64_t seed) {
+  const int hw =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  for (const CyclicCore& core : CyclicCores()) {
+    const Hypergraph h = WithForest(core.h);
+    for (const std::vector<VarId>& free : {std::vector<VarId>{0},
+                                           std::vector<VarId>{1, 0}}) {
+      const auto q = RandomQuery<S>(h, 200, core.oracle_dom, seed, free);
+      for (int p : {1, hw}) {
+        SCOPED_TRACE(InstanceLabel(core.name, seed) + " |F| " +
+                     std::to_string(free.size()) + " parallelism " +
+                     std::to_string(p));
+        ExecContext ctx;
+        ctx.parallelism = p;
+        auto fast = YannakakisSolve(q, &ctx);
+        ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+        EXPECT_GT(ctx.multiway.calls, 0);
+        ExecContext oracle_ctx;
+        oracle_ctx.parallelism = p;
+        auto oracle = BruteForceSolve(q, &oracle_ctx);
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        EXPECT_FALSE(oracle->empty());
+        EXPECT_TRUE(BytesEqual(*fast, *oracle));
+      }
+      seed += 10;
+    }
+  }
+}
+
+TEST(Routing, CoreWithForestMatchesOracleNatural) {
+  CheckCoreWithForestAgainstOracle<NaturalSemiring>(100);
+}
+TEST(Routing, CoreWithForestMatchesOracleCounting) {
+  CheckCoreWithForestAgainstOracle<CountingSemiring>(200);
+}
+TEST(Routing, CoreWithForestMatchesOracleBoolean) {
+  CheckCoreWithForestAgainstOracle<BooleanSemiring>(300);
+}
+TEST(Routing, CoreWithForestMatchesOracleMinPlus) {
+  CheckCoreWithForestAgainstOracle<MinPlusSemiring>(400);
 }
 
 TEST(MultiwayJoin, HugeLeadingKeysSkipTheRootDirectory) {

@@ -169,11 +169,12 @@ void CheckOpsDeterministic(const Relation<S>& left, const Relation<S>& right,
         left.arity() > 1 ? Project(left, {left.schema().var(0)}, &ctx)
                          : Project(left, left.schema().vars(), &ctx),
         proj1));
-    if (left.arity() > 1)
+    if (left.arity() > 1) {
       EXPECT_TRUE(BytesEqual(
           Eliminate(left, {left.schema().var(left.arity() - 1)},
                     {VarOp::kSemiringSum}, &ctx),
           elim1));
+    }
     EXPECT_EQ(ctx.join.rows_out, serial.join.rows_out);
   }
 }

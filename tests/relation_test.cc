@@ -1047,10 +1047,12 @@ void CrossCheckShapedAtParallelism(uint64_t seed, Shape shape, int p,
       Semijoin(a, b, &ctx).EqualsAsFunction(reference::Semijoin(a, b)));
   EXPECT_TRUE(Project(a, {1}, &ctx).EqualsAsFunction(
       reference::Project(a, {1})));
-  if (!a.empty())
-    for (VarOp op : {VarOp::kSemiringSum, VarOp::kMax})
+  if (!a.empty()) {
+    for (VarOp op : {VarOp::kSemiringSum, VarOp::kMax}) {
       EXPECT_TRUE(EliminateVar(a, 1, op, &ctx).EqualsAsFunction(
           reference::EliminateVar(a, 1, op)));
+    }
+  }
 }
 
 template <CommutativeSemiring S, typename AnnotFn>
